@@ -1224,7 +1224,16 @@ fn handle_hcall_parts(
 ) {
     match no {
         HcallNo::ResetStats => {
-            for cpu in cpus.iter_mut() {
+            // Settle the cycles an idle-skipping CPU owes from before the
+            // reset: in the serial `(cycle, index)` order, a lower-indexed
+            // CPU's cycle `now` precedes this call, a higher-indexed one's
+            // follows it.
+            for (i, cpu) in cpus.iter_mut().enumerate() {
+                if i < c {
+                    cpu.settle(now);
+                } else if i > c {
+                    cpu.settle(Cycle(now.0.saturating_sub(1)));
+                }
                 cpu.counters_mut().reset();
             }
             mem.stats_mut().reset();
@@ -1883,5 +1892,112 @@ mod phase_tests {
             "work separates the phases"
         );
         assert_eq!(s.phases[0].1, 0, "cpu id recorded");
+    }
+}
+
+#[cfg(test)]
+mod settle_tests {
+    use super::*;
+    use cmpsim_isa::{Asm, HcallNo, Reg};
+    use cmpsim_kernels::{BuiltWorkload, ProcessInit};
+    use cmpsim_mem::AddrSpace;
+
+    /// Four CPUs share a lock-protected counter, then run a chain of
+    /// dependent divides, which keeps a core quiet for eleven cycles in
+    /// twelve. CPU 1 resets the statistics partway into its chain, late
+    /// enough that the others (lower and higher indices) are inside theirs
+    /// and so inside skipped cycles.
+    fn lock_then_reset_mid_chain() -> BuiltWorkload {
+        const DATA: u32 = 0x10_0000;
+        let mut a = Asm::new(0x1_0000);
+        a.cpuid(Reg::S7);
+        a.la_abs(Reg::A0, DATA);
+        a.la_abs(Reg::A1, DATA + 0x40);
+        a.li(Reg::S0, 8);
+        a.label("acquire");
+        a.lw(Reg::T8, Reg::A0, 0);
+        a.bnez(Reg::T8, "acquire");
+        a.ll(Reg::T8, Reg::A0, 0);
+        a.bnez(Reg::T8, "acquire");
+        a.li(Reg::T9, 1);
+        a.sc(Reg::T9, Reg::A0, 0);
+        a.beqz(Reg::T9, "acquire");
+        a.sync();
+        a.lw(Reg::T0, Reg::A1, 0);
+        a.addi(Reg::T0, Reg::T0, 1);
+        a.sw(Reg::T0, Reg::A1, 0);
+        a.sync();
+        a.sw(Reg::ZERO, Reg::A0, 0);
+        a.addi(Reg::S0, Reg::S0, -1);
+        a.bnez(Reg::S0, "acquire");
+        a.li(Reg::T1, 3);
+        a.li(Reg::T2, 1_000_000);
+        a.li(Reg::S1, 1);
+        a.bne(Reg::S7, Reg::S1, "chain");
+        for _ in 0..150 {
+            a.div(Reg::T2, Reg::T2, Reg::T1);
+        }
+        a.hcall(HcallNo::ResetStats);
+        a.label("chain");
+        for _ in 0..400 {
+            a.div(Reg::T2, Reg::T2, Reg::T1);
+        }
+        a.halt();
+        let prog = a.assemble().expect("assembles");
+        let entry = ProcessInit {
+            entry: prog.base,
+            space: AddrSpace::identity(),
+        };
+        BuiltWorkload {
+            name: "lock-then-reset",
+            image: vec![(prog.base, prog.words)],
+            entries: vec![entry; 4],
+            extra_processes: vec![Vec::new(); 4],
+            init: Box::new(|_| {}),
+            check: Box::new(|m| match m.read_u32(DATA + 0x40) {
+                32 => Ok(()),
+                n => Err(format!("counter is {n}, want 4 x 8")),
+            }),
+        }
+    }
+
+    /// The machine's ROI statistics with MXS skipping quiet cycles equal a
+    /// reference that steps every CPU every cycle in `(cycle, cpu)` order:
+    /// the `ResetStats` settlement counts each skipped cycle on the right
+    /// side of every reset.
+    #[test]
+    fn roi_counters_match_stepping_every_cycle() {
+        let w = lock_then_reset_mid_chain();
+        let cfg = MachineConfig::new(ArchKind::SharedMem, CpuKind::Mxs);
+        let s = run_workload(&cfg, &w, 10_000_000).expect("validates");
+
+        let mut mem = cfg.arch.try_build(&cfg.system_config()).expect("builds");
+        let mut phys = PhysMem::new(4);
+        w.install(&mut phys);
+        let mut cpus: Vec<MxsCpu> = w
+            .entries
+            .iter()
+            .enumerate()
+            .map(|(c, p)| MxsCpu::new(c, p.entry, p.space))
+            .collect();
+        let mut now = Cycle::ZERO;
+        while cpus.iter().any(|c| !c.halted()) {
+            assert!(now.0 < 10_000_000, "the reference run must finish");
+            for c in 0..cpus.len() {
+                if cpus[c].halted() {
+                    continue;
+                }
+                let (_, ev) = cpus[c].step(now, mem.as_mut(), &mut phys);
+                if ev == StepEvent::Hcall(HcallNo::ResetStats) {
+                    cpus.iter_mut().for_each(|c| c.counters_mut().reset());
+                    mem.stats_mut().reset();
+                }
+            }
+            now += 1;
+        }
+        (w.check)(&phys).expect("reference validates");
+        let reference: Vec<CpuCounters> = cpus.iter().map(|c| c.counters().clone()).collect();
+        assert_eq!(s.per_cpu, reference);
+        assert_eq!(format!("{:?}", s.mem), format!("{:?}", mem.stats()));
     }
 }

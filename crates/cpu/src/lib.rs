@@ -136,6 +136,14 @@ pub enum StepEvent {
 pub trait CpuModel: Send {
     /// Advances the CPU. Returns the next cycle this CPU is runnable and
     /// any event the machine must handle.
+    ///
+    /// The returned cycle may lie beyond `now + 1` when the model can prove
+    /// that nothing happens before it: Mipsy stalls there on memory, and
+    /// MXS skips cycles in which no pipeline stage can act. A model that
+    /// skips quiet cycles adds their per-cycle counters lazily, so its
+    /// [`CpuModel::counters`] are exact only right after a step or after a
+    /// [`CpuModel::settle`]. Stepping again before the returned cycle is
+    /// always allowed and gives the same results as waiting for it.
     fn step(
         &mut self,
         now: Cycle,
@@ -168,6 +176,14 @@ pub trait CpuModel: Send {
 
     /// Mutable statistics counters (region-of-interest reset).
     fn counters_mut(&mut self) -> &mut CpuCounters;
+
+    /// Brings the counters up to date through cycle `through`, counting the
+    /// quiet cycles a step skipped up to and including it. Call it before
+    /// reading or resetting another CPU's counters mid-run. A no-op for
+    /// models that never skip.
+    fn settle(&mut self, through: Cycle) {
+        let _ = through;
+    }
 
     /// Whether this model supports stage-ahead execution. Models that
     /// return `false` are driven serially even inside a sharded run.

@@ -18,6 +18,15 @@
 //! operations do not issue until it graduates and the write buffer drains —
 //! the synchronization runtime relies on this, exactly as MIPS code relies
 //! on `sync`.
+//!
+//! Scheduling is event-driven (DESIGN.md §6). Issue walks an age-ordered
+//! wait list of unissued entries, each caching the cycle its operands
+//! become ready, instead of scanning the window; loads disambiguate against
+//! a queue of the window's stores and the fence test compares against a
+//! queue of its `SYNC`s. A step that changes nothing returns the earliest
+//! cycle at which any stage can act, skipping the quiet cycles between; their
+//! per-cycle counters are added lazily (see [`CpuModel::settle`]). Stepping
+//! every cycle instead gives identical results.
 
 use crate::arch::ArchState;
 use crate::btb::Btb;
@@ -66,16 +75,25 @@ impl MxsConfig {
     /// Returns [`ConfigError::TooFewPhysRegs`] when renaming could
     /// deadlock (`phys_regs < 32 + rob_entries`: every architectural
     /// register plus every in-flight instruction needs a physical
-    /// register), and [`ConfigError::FetchWidthOutOfRange`] when the fetch
-    /// width is zero or exceeds the fetch-buffer capacity.
+    /// register), [`ConfigError::TooManyPhysRegs`] when a physical register
+    /// index would not fit the core's compact 16-bit register tags, and
+    /// [`ConfigError::FetchWidthOutOfRange`] when the fetch width is zero or
+    /// exceeds the fetch-buffer capacity.
     ///
     /// [`ConfigError::TooFewPhysRegs`]: cmpsim_mem::ConfigError::TooFewPhysRegs
+    /// [`ConfigError::TooManyPhysRegs`]: cmpsim_mem::ConfigError::TooManyPhysRegs
     /// [`ConfigError::FetchWidthOutOfRange`]: cmpsim_mem::ConfigError::FetchWidthOutOfRange
     pub fn validate(&self) -> Result<(), cmpsim_mem::ConfigError> {
         if self.phys_regs < 32 + self.rob_entries {
             return Err(cmpsim_mem::ConfigError::TooFewPhysRegs {
                 phys_regs: self.phys_regs,
                 needed: 32 + self.rob_entries,
+            });
+        }
+        if self.phys_regs > MAX_PHYS_REGS {
+            return Err(cmpsim_mem::ConfigError::TooManyPhysRegs {
+                phys_regs: self.phys_regs,
+                max: MAX_PHYS_REGS,
             });
         }
         if self.fetch_width == 0 || self.fetch_width > FBUF_CAP {
@@ -105,6 +123,12 @@ impl Default for MxsConfig {
     }
 }
 
+/// A physical register number.
+type PReg = u16;
+
+/// Largest physical register file a [`PReg`] can number.
+const MAX_PHYS_REGS: usize = PReg::MAX as usize + 1;
+
 /// Buffered store data awaiting graduation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum StoreVal {
@@ -124,25 +148,62 @@ impl StoreVal {
     }
 }
 
+/// A renamed destination: squash restores `old` into the front map,
+/// graduation frees it.
+#[derive(Debug, Clone, Copy)]
+struct Def {
+    arch: u8,
+    new: PReg,
+    old: PReg,
+}
+
 /// A fetched, renamed, in-flight instruction.
 #[derive(Debug)]
 struct RobEntry {
     pc: u32,
-    instr: Instr,
     /// The pc fetch assumed would follow this instruction.
     predicted_next: u32,
-    int_def: Option<(usize, usize, usize)>, // (arch, new phys, old phys)
-    fp_def: Option<(usize, usize, usize)>,
-    int_srcs: [Option<usize>; 2],
-    fp_srcs: [Option<usize>; 2],
-    issued: bool,
+    instr: Instr,
+    int_def: Option<Def>,
+    fp_def: Option<Def>,
+    int_srcs: [Option<PReg>; 2],
+    fp_srcs: [Option<PReg>; 2],
     done_at: Cycle,
-    mispredicted: bool,
     mem_paddr: Option<u32>,
     store_val: Option<StoreVal>,
+    issued: bool,
+    mispredicted: bool,
     is_sc: bool,
     /// Load that missed the L1 (blame graduation stalls on the data cache).
     dcache_blame: bool,
+}
+
+/// A source operand's physical register.
+#[derive(Debug, Clone, Copy)]
+enum Src {
+    Int(PReg),
+    Fp(PReg),
+}
+
+/// An unissued window entry on the wait list, with what issue needs to
+/// know without touching the window.
+#[derive(Debug, Clone, Copy)]
+struct Waiting {
+    /// Dispatch sequence number: the entry sits at window index
+    /// `seq - head_seq`.
+    seq: u64,
+    /// Cycle by which every source operand is ready. Final once every
+    /// producer has executed; `Cycle::MAX` means "recompute".
+    wake: Cycle,
+    /// Source operands, leading (no instruction reads more than two
+    /// registers).
+    srcs: [Option<Src>; 2],
+    class: FuClass,
+    /// The `hold_epoch` at which this entry was last found held: a memory
+    /// operation behind a `SYNC`, or a load whose older stores are unissued
+    /// or overlap it inexactly (0: never). The verdict stands until a store
+    /// issues or a store or `SYNC` graduates.
+    held_at: u64,
 }
 
 /// A fetched instruction waiting for rename (the fetch buffer).
@@ -153,6 +214,62 @@ struct Fetched {
     predicted_next: u32,
     avail_at: Cycle,
     was_icache_miss: bool,
+}
+
+/// The counters every cycle adds to besides `mxs_cycles`: as totals in a
+/// snapshot, or as one quiet cycle's increments.
+#[derive(Debug, Clone, Copy)]
+struct QuietTick {
+    window_occupancy_sum: u64,
+    slots_icache: u64,
+    slots_dcache: u64,
+    slots_pipeline: u64,
+    dispatch_stall_rob: u64,
+    dispatch_stall_preg: u64,
+}
+
+impl QuietTick {
+    fn snapshot(c: &CpuCounters) -> QuietTick {
+        QuietTick {
+            window_occupancy_sum: c.window_occupancy_sum,
+            slots_icache: c.slots_icache,
+            slots_dcache: c.slots_dcache,
+            slots_pipeline: c.slots_pipeline,
+            dispatch_stall_rob: c.dispatch_stall_rob,
+            dispatch_stall_preg: c.dispatch_stall_preg,
+        }
+    }
+
+    /// The increments from snapshot `before` to this one.
+    fn since(self, before: QuietTick) -> QuietTick {
+        QuietTick {
+            window_occupancy_sum: self.window_occupancy_sum - before.window_occupancy_sum,
+            slots_icache: self.slots_icache - before.slots_icache,
+            slots_dcache: self.slots_dcache - before.slots_dcache,
+            slots_pipeline: self.slots_pipeline - before.slots_pipeline,
+            dispatch_stall_rob: self.dispatch_stall_rob - before.dispatch_stall_rob,
+            dispatch_stall_preg: self.dispatch_stall_preg - before.dispatch_stall_preg,
+        }
+    }
+
+    /// Adds `n` quiet cycles' worth of increments to `c`.
+    fn add_to(&self, c: &mut CpuCounters, n: u64) {
+        c.mxs_cycles += n;
+        c.window_occupancy_sum += self.window_occupancy_sum * n;
+        c.slots_icache += self.slots_icache * n;
+        c.slots_dcache += self.slots_dcache * n;
+        c.slots_pipeline += self.slots_pipeline * n;
+        c.dispatch_stall_rob += self.dispatch_stall_rob * n;
+        c.dispatch_stall_preg += self.dispatch_stall_preg * n;
+    }
+}
+
+/// Quiet cycles a step skipped, `from..until`, whose counters are owed.
+#[derive(Debug, Clone, Copy)]
+struct Skipped {
+    from: Cycle,
+    until: Cycle,
+    tick: QuietTick,
 }
 
 /// The detailed dynamic superscalar CPU model.
@@ -168,14 +285,30 @@ pub struct MxsCpu {
     int_ready: Vec<Cycle>,
     fp_preg: Vec<f64>,
     fp_ready: Vec<Cycle>,
-    front_int: [usize; 32],
-    front_fp: [usize; 32],
-    retire_int: [usize; 32],
-    retire_fp: [usize; 32],
-    int_free: Vec<usize>,
-    fp_free: Vec<usize>,
+    front_int: [PReg; 32],
+    front_fp: [PReg; 32],
+    retire_int: [PReg; 32],
+    retire_fp: [PReg; 32],
+    int_free: Vec<PReg>,
+    fp_free: Vec<PReg>,
 
     rob: VecDeque<RobEntry>,
+    /// Sequence number of the window head; squash keeps the numbering
+    /// contiguous, so window index = seq − `head_seq`.
+    head_seq: u64,
+    /// Unissued window entries, oldest first.
+    wait: Vec<Waiting>,
+    /// Sequence numbers of the window's stores, oldest first.
+    stores: VecDeque<u64>,
+    /// Sequence numbers of the window's `SYNC`s, oldest first.
+    syncs: VecDeque<u64>,
+    /// Bumped whenever a store issues or a store or `SYNC` graduates: the
+    /// only events that can release a held entry.
+    hold_epoch: u64,
+    /// No wait-list entry can issue before this cycle. Each issue walk
+    /// recomputes it; a register write, a dispatch or a release of held
+    /// entries lowers it.
+    issue_at: Cycle,
     fetch_pc: u32,
     fetch_resume_at: Cycle,
     fetch_stopped: bool,
@@ -191,6 +324,8 @@ pub struct MxsCpu {
     /// line every cycle; a real fetch unit holds it in a line register).
     fetch_line: Option<u32>,
     counters: CpuCounters,
+    /// Quiet cycles skipped by the last step and not yet counted.
+    skipped: Option<Skipped>,
 }
 
 /// Fetch-buffer capacity in instructions (a few groups in flight keeps the
@@ -207,9 +342,10 @@ impl MxsCpu {
     ///
     /// # Panics
     ///
-    /// Panics if `phys_regs < 32 + rob_entries` (renaming could deadlock)
-    /// or the fetch width is out of range. Use [`MxsCpu::try_with_config`]
-    /// to reject bad configurations without unwinding.
+    /// Panics if `phys_regs < 32 + rob_entries` (renaming could deadlock),
+    /// `phys_regs` exceeds the register-tag range, or the fetch width is
+    /// out of range. Use [`MxsCpu::try_with_config`] to reject bad
+    /// configurations without unwinding.
     pub fn with_config(cpu: CpuId, pc: u32, space: AddrSpace, cfg: MxsConfig) -> MxsCpu {
         MxsCpu::try_with_config(cpu, pc, space, cfg).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -240,16 +376,23 @@ impl MxsCpu {
             int_free: Vec::new(),
             fp_free: Vec::new(),
             rob: VecDeque::with_capacity(cfg.rob_entries),
+            head_seq: 0,
+            wait: Vec::with_capacity(cfg.rob_entries),
+            stores: VecDeque::new(),
+            syncs: VecDeque::new(),
+            hold_epoch: 1,
+            issue_at: Cycle::MAX,
             fetch_pc: pc,
             fetch_resume_at: Cycle::ZERO,
             fetch_stopped: false,
-            fbuf: VecDeque::new(),
+            fbuf: VecDeque::with_capacity(FBUF_CAP),
             btb: Btb::new(cfg.btb_entries),
             decode: DecodeCache::new(),
             wbuf: WriteBuffer::new(cfg.wbuf_entries),
             outstanding: Vec::new(),
             fetch_line: None,
             counters: CpuCounters::new(),
+            skipped: None,
         };
         m.reset_pipeline();
         Ok(m)
@@ -258,18 +401,23 @@ impl MxsCpu {
     /// Rebuilds all speculative state from the committed `arch` state.
     fn reset_pipeline(&mut self) {
         for r in 0..32 {
-            self.front_int[r] = r;
-            self.front_fp[r] = r;
-            self.retire_int[r] = r;
-            self.retire_fp[r] = r;
+            self.front_int[r] = r as PReg;
+            self.front_fp[r] = r as PReg;
+            self.retire_int[r] = r as PReg;
+            self.retire_fp[r] = r as PReg;
             self.int_preg[r] = self.arch.gpr(Reg::new(r as u8));
             self.fp_preg[r] = self.arch.fpr(cmpsim_isa::FReg::new(r as u8));
             self.int_ready[r] = Cycle::ZERO;
             self.fp_ready[r] = Cycle::ZERO;
         }
-        self.int_free = (32..self.cfg.phys_regs).collect();
-        self.fp_free = (32..self.cfg.phys_regs).collect();
+        // `validate` bounds phys_regs by MAX_PHYS_REGS, so the casts are exact.
+        self.int_free = (32..self.cfg.phys_regs).map(|p| p as PReg).collect();
+        self.fp_free = (32..self.cfg.phys_regs).map(|p| p as PReg).collect();
         self.rob.clear();
+        self.wait.clear();
+        self.issue_at = Cycle::MAX;
+        self.stores.clear();
+        self.syncs.clear();
         self.fbuf.clear();
         self.fetch_pc = self.arch.pc;
         self.fetch_stopped = false;
@@ -280,14 +428,14 @@ impl MxsCpu {
     /// Copies the committed register state into `arch` (pc set by caller).
     fn sync_arch(&mut self) {
         for r in 1..32u8 {
+            let p = self.retire_int[r as usize];
             self.arch
-                .set_gpr(Reg::new(r), self.int_preg[self.retire_int[r as usize]]);
+                .set_gpr(Reg::new(r), self.int_preg[usize::from(p)]);
         }
         for r in 0..32u8 {
-            self.arch.set_fpr(
-                cmpsim_isa::FReg::new(r),
-                self.fp_preg[self.retire_fp[r as usize]],
-            );
+            let p = self.retire_fp[r as usize];
+            self.arch
+                .set_fpr(cmpsim_isa::FReg::new(r), self.fp_preg[usize::from(p)]);
         }
     }
 
@@ -297,46 +445,92 @@ impl MxsCpu {
     fn squash_after(&mut self, keep: usize) {
         while self.rob.len() > keep + 1 {
             let e = self.rob.pop_back().expect("len checked");
-            if let Some((arch, new, old)) = e.int_def {
-                self.front_int[arch] = old;
-                self.int_free.push(new);
+            if let Some(d) = e.int_def {
+                self.front_int[usize::from(d.arch)] = d.old;
+                self.int_free.push(d.new);
             }
-            if let Some((arch, new, old)) = e.fp_def {
-                self.front_fp[arch] = old;
-                self.fp_free.push(new);
+            if let Some(d) = e.fp_def {
+                self.front_fp[usize::from(d.arch)] = d.old;
+                self.fp_free.push(d.new);
             }
+        }
+        let last = self.head_seq + keep as u64;
+        while self.wait.last().is_some_and(|w| w.seq > last) {
+            self.wait.pop();
+        }
+        while self.stores.back().is_some_and(|&s| s > last) {
+            self.stores.pop_back();
+        }
+        while self.syncs.back().is_some_and(|&s| s > last) {
+            self.syncs.pop_back();
         }
         self.fbuf.clear();
     }
 
-    fn src_ready(&self, e: &RobEntry, now: Cycle) -> bool {
-        e.int_srcs
-            .iter()
-            .flatten()
-            .all(|&p| self.int_ready[p] <= now)
-            && e.fp_srcs.iter().flatten().all(|&p| self.fp_ready[p] <= now)
+    /// Window index of the entry with sequence number `seq`.
+    fn slot(&self, seq: u64) -> usize {
+        (seq - self.head_seq) as usize
     }
 
-    fn write_int(&mut self, def: Option<(usize, usize, usize)>, value: u32, ready: Cycle) {
-        if let Some((_, new, _)) = def {
-            self.int_preg[new] = value;
-            self.int_ready[new] = ready;
+    fn ready_at(&self, src: Src) -> Cycle {
+        match src {
+            Src::Int(p) => self.int_ready[usize::from(p)],
+            Src::Fp(p) => self.fp_ready[usize::from(p)],
         }
     }
 
-    fn write_fp(&mut self, def: Option<(usize, usize, usize)>, value: f64, ready: Cycle) {
-        if let Some((_, new, _)) = def {
-            self.fp_preg[new] = value;
-            self.fp_ready[new] = ready;
+    /// Wake cycle of wait-list entry `w`, recomputed from the source
+    /// registers while any producer has yet to execute.
+    fn wake_at(&mut self, w: usize) -> Cycle {
+        let Waiting { wake, srcs, .. } = self.wait[w];
+        if wake != Cycle::MAX {
+            return wake;
+        }
+        let mut wake = Cycle::ZERO;
+        for (i, &src) in srcs.iter().enumerate() {
+            let Some(src) = src else { break };
+            let at = self.ready_at(src);
+            if at == Cycle::MAX {
+                // Nothing changes until this producer writes: check it
+                // first next time.
+                self.wait[w].srcs.swap(0, i);
+                return Cycle::MAX;
+            }
+            wake = wake.max(at);
+        }
+        self.wait[w].wake = wake;
+        wake
+    }
+
+    /// Ends every hold: held entries are examined again next walk.
+    fn release_held(&mut self) {
+        self.hold_epoch += 1;
+        self.issue_at = Cycle::ZERO;
+    }
+
+    fn write_int(&mut self, def: Option<Def>, value: u32, ready: Cycle) {
+        if let Some(d) = def {
+            self.int_preg[usize::from(d.new)] = value;
+            self.int_ready[usize::from(d.new)] = ready;
+            // A consumer can wake no earlier than its last producer.
+            self.issue_at = self.issue_at.min(ready);
         }
     }
 
-    fn ival(&self, src: Option<usize>) -> u32 {
-        src.map_or(0, |p| self.int_preg[p])
+    fn write_fp(&mut self, def: Option<Def>, value: f64, ready: Cycle) {
+        if let Some(d) = def {
+            self.fp_preg[usize::from(d.new)] = value;
+            self.fp_ready[usize::from(d.new)] = ready;
+            self.issue_at = self.issue_at.min(ready);
+        }
     }
 
-    fn fval(&self, src: Option<usize>) -> f64 {
-        src.map_or(0.0, |p| self.fp_preg[p])
+    fn ival(&self, src: Option<PReg>) -> u32 {
+        src.map_or(0, |p| self.int_preg[usize::from(p)])
+    }
+
+    fn fval(&self, src: Option<PReg>) -> f64 {
+        src.map_or(0.0, |p| self.fp_preg[usize::from(p)])
     }
 
     // ------------------------------------------------------------------
@@ -430,19 +624,27 @@ impl MxsCpu {
             }
 
             let head = self.rob.pop_front().expect("head exists");
+            self.head_seq += 1;
+            if head.instr.is_store() {
+                self.stores.pop_front();
+                self.release_held();
+            } else if matches!(head.instr, Instr::Sync) {
+                self.syncs.pop_front();
+                self.release_held();
+            }
             if head.instr.is_control() && !head.instr.is_direct_jump() {
                 self.counters.branches += 1;
                 if head.mispredicted {
                     self.counters.mispredicts += 1;
                 }
             }
-            if let Some((arch, new, old)) = head.int_def {
-                self.retire_int[arch] = new;
-                self.int_free.push(old);
+            if let Some(d) = head.int_def {
+                self.retire_int[usize::from(d.arch)] = d.new;
+                self.int_free.push(d.old);
             }
-            if let Some((arch, new, old)) = head.fp_def {
-                self.retire_fp[arch] = new;
-                self.fp_free.push(old);
+            if let Some(d) = head.fp_def {
+                self.retire_fp[usize::from(d.arch)] = d.new;
+                self.fp_free.push(d.old);
             }
             self.counters.instructions += 1;
             grads += 1;
@@ -484,67 +686,99 @@ impl MxsCpu {
     // Issue / execute stage
     // ------------------------------------------------------------------
 
-    fn issue(&mut self, now: Cycle, mem: &mut dyn MemorySystem, phys: &mut PhysMem) {
-        self.outstanding.retain(|&(_, f)| f > now);
+    /// Issues up to `issue_width` ready entries, oldest first, and
+    /// recomputes `issue_at`. Returns how many issued.
+    fn issue(&mut self, now: Cycle, mem: &mut dyn MemorySystem, phys: &mut PhysMem) -> usize {
+        if now < self.issue_at {
+            return 0;
+        }
+        self.issue_at = Cycle::MAX;
+        if !self.outstanding.is_empty() {
+            self.outstanding.retain(|&(_, f)| f > now);
+        }
         let mut issued = 0usize;
         let mut mem_port_used = false;
         let mut class_counts = [0usize; 12];
-        // Index of the oldest un-graduated SYNC; younger memory operations
-        // must not issue past it (full-fence semantics).
-        let fence_idx = self.rob.iter().position(|e| matches!(e.instr, Instr::Sync));
+        // The oldest un-graduated SYNC; younger memory operations must not
+        // issue past it (full-fence semantics).
+        let fence = self.syncs.front().copied();
 
-        let mut i = 0;
-        while i < self.rob.len() && issued < self.cfg.issue_width {
-            if self.rob[i].issued {
-                i += 1;
+        let mut w = 0;
+        while w < self.wait.len() && issued < self.cfg.issue_width {
+            let wake = self.wake_at(w);
+            let Waiting {
+                seq,
+                class,
+                held_at,
+                ..
+            } = self.wait[w];
+            if wake > now {
+                // A pending producer lowers `issue_at` when it writes.
+                if wake != Cycle::MAX {
+                    self.issue_at = self.issue_at.min(wake);
+                }
+                w += 1;
                 continue;
             }
-            if !self.src_ready(&self.rob[i], now) {
-                i += 1;
+            if held_at == self.hold_epoch {
+                w += 1;
                 continue;
             }
-            let class = self.rob[i].instr.fu_class();
+            let idx = self.slot(seq);
             let is_mem = matches!(class, FuClass::Load | FuClass::Store);
+            let busy = if is_mem {
+                mem_port_used
+            } else {
+                class_counts[class_index(class)] >= self.cfg.fu_per_class
+            };
+            let exec = if is_mem && fence.is_some_and(|f| f < seq) {
+                Exec::Held
+            } else if busy {
+                Exec::Busy
+            } else {
+                self.execute_at(idx, now, mem, phys)
+            };
+            match exec {
+                Exec::Issued => {}
+                Exec::Held => {
+                    self.wait[w].held_at = self.hold_epoch;
+                    w += 1;
+                    continue;
+                }
+                Exec::Busy => {
+                    self.issue_at = self.issue_at.min(now + 1);
+                    w += 1;
+                    continue;
+                }
+            }
+            self.wait.remove(w);
+            issued += 1;
             if is_mem {
-                if mem_port_used {
-                    i += 1;
-                    continue;
-                }
-                if fence_idx.is_some_and(|f| f < i) {
-                    i += 1;
-                    continue;
-                }
-            } else if class_counts[class_index(class)] >= self.cfg.fu_per_class {
-                i += 1;
-                continue;
+                mem_port_used = true;
+            } else {
+                class_counts[class_index(class)] += 1;
             }
-
-            let ok = self.execute_at(i, now, mem, phys);
-            if ok {
-                issued += 1;
-                if is_mem {
-                    mem_port_used = true;
-                } else {
-                    class_counts[class_index(class)] += 1;
-                }
-                if self.rob[i].mispredicted {
-                    // Squash redirects fetch; nothing younger remains.
-                    break;
-                }
+            if self.rob[idx].mispredicted {
+                // Squash redirects fetch; nothing younger remains.
+                break;
             }
-            i += 1;
         }
+        if w < self.wait.len() {
+            // Issue width ran out before the walk did.
+            self.issue_at = self.issue_at.min(now + 1);
+        }
+        issued
     }
 
-    /// Executes the instruction in ROB slot `idx`. Returns false if it
-    /// could not issue after all (memory structural hazards).
+    /// Executes the instruction in ROB slot `idx`, unless a load finds it
+    /// cannot issue after all.
     fn execute_at(
         &mut self,
         idx: usize,
         now: Cycle,
         mem: &mut dyn MemorySystem,
         phys: &mut PhysMem,
-    ) -> bool {
+    ) -> Exec {
         let instr = self.rob[idx].instr;
         let pc = self.rob[idx].pc;
         let next = pc.wrapping_add(4);
@@ -612,7 +846,7 @@ impl MxsCpu {
                 let bytes = instr.mem_bytes().expect("load has a size");
                 // Disambiguate against older stores in the window.
                 match self.scan_older_stores(idx, pa, bytes) {
-                    StoreScan::Unknown | StoreScan::Partial => return false,
+                    StoreScan::Unknown | StoreScan::Partial => return Exec::Held,
                     StoreScan::Forward(val) => {
                         done = now + 1;
                         self.finish_load(instr, int_def, fp_def, pa, Some(val), done, phys);
@@ -629,7 +863,7 @@ impl MxsCpu {
                             if !mem.load_would_hit_l1(self.cpu, pa)
                                 && self.outstanding.len() >= self.cfg.mshrs
                             {
-                                return false; // all MSHRs busy
+                                return Exec::Busy; // all MSHRs in use
                             }
                             let res = mem.access(now, MemRequest::load(self.cpu, pa));
                             done = res.finish;
@@ -658,6 +892,7 @@ impl MxsCpu {
                     _ => unreachable!(),
                 };
                 done = now + fu.store;
+                self.release_held();
                 self.rob[idx].mem_paddr = Some(pa);
                 self.rob[idx].store_val = Some(val);
                 // An SC's destination becomes ready at graduation, when the
@@ -701,15 +936,15 @@ impl MxsCpu {
             self.fetch_stopped = false;
             self.fetch_line = None;
         }
-        true
+        Exec::Issued
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the execute-stage operands
     fn finish_load(
         &mut self,
         instr: Instr,
-        int_def: Option<(usize, usize, usize)>,
-        fp_def: Option<(usize, usize, usize)>,
+        int_def: Option<Def>,
+        fp_def: Option<Def>,
         pa: u32,
         forwarded: Option<StoreVal>,
         ready: Cycle,
@@ -769,13 +1004,13 @@ impl MxsCpu {
         }
     }
 
+    /// Disambiguates the load in window slot `idx` against the stores
+    /// older than it.
     fn scan_older_stores(&self, idx: usize, pa: u32, bytes: u32) -> StoreScan {
+        let seq = self.head_seq + idx as u64;
         let mut result = StoreScan::Clear;
-        for j in 0..idx {
-            let e = &self.rob[j];
-            if !e.instr.is_store() {
-                continue;
-            }
+        for &s in self.stores.iter().take_while(|&&s| s < seq) {
+            let e = &self.rob[self.slot(s)];
             if !e.issued {
                 return StoreScan::Unknown;
             }
@@ -802,7 +1037,9 @@ impl MxsCpu {
     // Rename / dispatch stage
     // ------------------------------------------------------------------
 
-    fn dispatch(&mut self, now: Cycle) {
+    /// Renames up to `fetch_width` fetched instructions into the window.
+    /// Returns how many entered it.
+    fn dispatch(&mut self, now: Cycle) -> usize {
         let mut n = 0;
         loop {
             if n >= self.cfg.fetch_width {
@@ -837,49 +1074,82 @@ impl MxsCpu {
                 let new = self.int_free.pop().expect("checked non-empty");
                 let old = self.front_int[r.index()];
                 self.front_int[r.index()] = new;
-                self.int_ready[new] = Cycle::MAX;
-                (r.index(), new, old)
+                self.int_ready[usize::from(new)] = Cycle::MAX;
+                Def {
+                    arch: r.index() as u8,
+                    new,
+                    old,
+                }
             });
             let fp_def = ops.fp_def.map(|r| {
                 let new = self.fp_free.pop().expect("checked non-empty");
                 let old = self.front_fp[r.index()];
                 self.front_fp[r.index()] = new;
-                self.fp_ready[new] = Cycle::MAX;
-                (r.index(), new, old)
+                self.fp_ready[usize::from(new)] = Cycle::MAX;
+                Def {
+                    arch: r.index() as u8,
+                    new,
+                    old,
+                }
             });
+            let seq = self.head_seq + self.rob.len() as u64;
+            if f.instr.is_store() {
+                self.stores.push_back(seq);
+            } else if matches!(f.instr, Instr::Sync) {
+                self.syncs.push_back(seq);
+            }
+            let mut reads = (int_srcs.into_iter().flatten().map(Src::Int))
+                .chain(fp_srcs.into_iter().flatten().map(Src::Fp));
+            let srcs = [reads.next(), reads.next()];
+            debug_assert!(
+                reads.next().is_none(),
+                "{:?} reads three registers",
+                f.instr
+            );
+            self.wait.push(Waiting {
+                seq,
+                wake: Cycle::MAX,
+                srcs,
+                class: f.instr.fu_class(),
+                held_at: 0,
+            });
+            let wake = self.wake_at(self.wait.len() - 1);
+            self.issue_at = self.issue_at.min(wake);
             self.rob.push_back(RobEntry {
                 pc: f.pc,
-                instr: f.instr,
                 predicted_next: f.predicted_next,
+                instr: f.instr,
                 int_def,
                 fp_def,
                 int_srcs,
                 fp_srcs,
-                issued: false,
                 done_at: Cycle::MAX,
-                mispredicted: false,
                 mem_paddr: None,
                 store_val: None,
+                issued: false,
+                mispredicted: false,
                 is_sc: matches!(f.instr, Instr::Sc { .. }),
                 dcache_blame: false,
             });
             n += 1;
         }
+        n
     }
 
     // ------------------------------------------------------------------
     // Fetch stage
     // ------------------------------------------------------------------
 
-    fn fetch(&mut self, now: Cycle, mem: &mut dyn MemorySystem, phys: &PhysMem) {
+    /// Fetches one group into the fetch buffer. Returns whether it did.
+    fn fetch(&mut self, now: Cycle, mem: &mut dyn MemorySystem, phys: &PhysMem) -> bool {
         if self.fetch_stopped
             || now < self.fetch_resume_at
             || self.fbuf.len() + self.cfg.fetch_width > FBUF_CAP
         {
-            return;
+            return false;
         }
         let group_pa = self.space.translate(self.fetch_pc);
-        let mut staged: Vec<Fetched> = Vec::with_capacity(self.cfg.fetch_width);
+        let first = self.fbuf.len();
         for _ in 0..self.cfg.fetch_width {
             let pc = self.fetch_pc;
             let pa = self.space.translate(pc);
@@ -892,7 +1162,7 @@ impl MxsCpu {
                 }
                 _ => pc.wrapping_add(4),
             };
-            staged.push(Fetched {
+            self.fbuf.push_back(Fetched {
                 pc,
                 instr,
                 predicted_next,
@@ -917,10 +1187,68 @@ impl MxsCpu {
             self.fetch_line = Some(line);
             (res.finish, res.l1_miss)
         };
-        for mut f in staged {
+        for f in self.fbuf.range_mut(first..) {
             f.avail_at = avail_at;
             f.was_icache_miss = was_miss;
-            self.fbuf.push_back(f);
+        }
+        true
+    }
+
+    // ------------------------------------------------------------------
+    // Idle skipping
+    // ------------------------------------------------------------------
+
+    /// The earliest cycle after `now` at which any stage can act, called
+    /// after a step at `now` that changed nothing. Until then every stage
+    /// sees the same state, so each cycle in between would repeat that
+    /// step's counter increments and nothing else.
+    ///
+    /// A cycle is a candidate when an unissued entry's operands become
+    /// ready (`issue_at`), the head completes, the write buffer frees an
+    /// entry or drains (a done head store or `SYNC`), the fetch buffer's
+    /// front group arrives, or fetch resumes after a redirect. Held entries
+    /// wait on events, which no quiet cycle has; an entry that is ready but
+    /// busy keeps `issue_at` at `now + 1`, so an MSHR-blocked load, whose
+    /// L1 hit depends on other CPUs, forbids skipping.
+    fn next_wake(&mut self, now: Cycle) -> Cycle {
+        let soon = now + 1;
+        let mut wake = self.issue_at;
+        if let Some(head) = self.rob.front() {
+            if head.done_at > now {
+                wake = wake.min(head.done_at);
+            } else if head.instr.is_store() {
+                wake = wake.min(self.wbuf.next_free(now));
+            } else if matches!(head.instr, Instr::Sync) {
+                wake = wake.min(self.wbuf.drain_time(now));
+            } else {
+                return soon;
+            }
+        }
+        if let Some(f) = self.fbuf.front() {
+            if f.avail_at > now {
+                wake = wake.min(f.avail_at);
+            }
+        }
+        if !self.fetch_stopped && self.fetch_resume_at > now {
+            wake = wake.min(self.fetch_resume_at);
+        }
+        // A core with nothing scheduled at all is stuck; keep stepping it
+        // cycle by cycle so the watchdog and the cycle budget see it.
+        if wake == Cycle::MAX {
+            soon
+        } else {
+            wake.max(soon)
+        }
+    }
+
+    /// Counts the skipped quiet cycles before `end`.
+    fn count_skipped(&mut self, end: Cycle) {
+        if let Some(s) = &mut self.skipped {
+            let end = end.min(s.until);
+            if end > s.from {
+                s.tick.add_to(&mut self.counters, end - s.from);
+                s.from = end;
+            }
         }
     }
 
@@ -934,6 +1262,20 @@ impl MxsCpu {
     pub fn head_pc(&self) -> u32 {
         self.rob.front().map_or(self.fetch_pc, |e| e.pc)
     }
+}
+
+/// The outcome of an issue attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Exec {
+    Issued,
+    /// Cannot issue until a store issues or a store or `SYNC` graduates:
+    /// a memory operation behind a `SYNC`, or a load whose older stores
+    /// are unissued or overlap it inexactly.
+    Held,
+    /// Blocked for this cycle only: the memory port or functional units
+    /// are taken, or a load would miss with every MSHR in use (whether it
+    /// hits can change with other CPUs' accesses).
+    Busy,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -973,16 +1315,40 @@ impl CpuModel for MxsCpu {
         phys: &mut PhysMem,
     ) -> (Cycle, StepEvent) {
         debug_assert!(!self.halted, "stepping a halted CPU");
+        // Cycles the last step skipped are quiet up to `now`; a caller
+        // stepping before the returned cycle simply cuts the skip short.
+        self.count_skipped(now);
+        self.skipped = None;
+
+        let before = QuietTick::snapshot(&self.counters);
+        let graduated = self.counters.instructions;
         self.counters.mxs_cycles += 1;
         self.counters.window_occupancy_sum += self.rob.len() as u64;
-        let event = self.graduate(now, mem, phys);
-        if let Some(ev) = event {
+        if let Some(ev) = self.graduate(now, mem, phys) {
             return (now + 1, ev);
         }
-        self.issue(now, mem, phys);
-        self.dispatch(now);
-        self.fetch(now, mem, phys);
-        (now + 1, StepEvent::None)
+        let issued = self.issue(now, mem, phys);
+        let dispatched = self.dispatch(now);
+        let fetched = self.fetch(now, mem, phys);
+        if self.counters.instructions != graduated || issued + dispatched > 0 || fetched {
+            return (now + 1, StepEvent::None);
+        }
+
+        // Nothing changed: skip to the next cycle any stage can act,
+        // owing each quiet cycle this step's counter increments.
+        let wake = self.next_wake(now);
+        if wake > now + 1 {
+            self.skipped = Some(Skipped {
+                from: now + 1,
+                until: wake,
+                tick: QuietTick::snapshot(&self.counters).since(before),
+            });
+        }
+        (wake, StepEvent::None)
+    }
+
+    fn settle(&mut self, through: Cycle) {
+        self.count_skipped(Cycle(through.0.saturating_add(1)));
     }
 
     fn arch(&self) -> &ArchState {
@@ -1055,6 +1421,23 @@ mod tests {
                 needed: 32 + MxsConfig::default().rob_entries,
             })
         );
+
+        let huge = MxsConfig {
+            phys_regs: MAX_PHYS_REGS + 1,
+            ..MxsConfig::default()
+        };
+        assert_eq!(
+            huge.validate(),
+            Err(ConfigError::TooManyPhysRegs {
+                phys_regs: MAX_PHYS_REGS + 1,
+                max: MAX_PHYS_REGS,
+            })
+        );
+        let largest = MxsConfig {
+            phys_regs: MAX_PHYS_REGS,
+            ..MxsConfig::default()
+        };
+        assert!(largest.validate().is_ok());
 
         for fetch_width in [0, FBUF_CAP + 1] {
             let wide = MxsConfig {

@@ -1,10 +1,10 @@
 //! Microarchitectural behavior tests for the MXS core: structural limits
 //! (window, MSHRs, memory port), fences, and multi-CPU atomicity.
 
-use cmpsim_cpu::{CpuModel, MipsyCpu, MxsConfig, MxsCpu};
+use cmpsim_cpu::{CpuCounters, CpuModel, MipsyCpu, MxsConfig, MxsCpu, StepEvent};
 use cmpsim_engine::Cycle;
-use cmpsim_isa::{Asm, Reg};
-use cmpsim_mem::{AddrSpace, PhysMem, SharedL1System, SharedMemSystem, SystemConfig};
+use cmpsim_isa::{Asm, HcallNo, Reg};
+use cmpsim_mem::{AddrSpace, MemorySystem, PhysMem, SharedL1System, SharedMemSystem, SystemConfig};
 
 const CODE: u32 = 0x1_0000;
 const DATA: u32 = 0x10_0000;
@@ -166,6 +166,117 @@ fn four_mxs_cpus_keep_a_lock_mutually_exclusive() {
     }
     assert!(cpus.iter().all(|c| c.halted()), "all CPUs finish");
     assert_eq!(phys.read_u32(DATA + 0x40), 160, "4 CPUs x 40 increments");
+}
+
+/// Four CPUs run a lock-protected increment loop, each resetting the
+/// statistics every fourth iteration. Four 12-cycle divides per iteration
+/// leave every core quiet for long stretches, so resets land inside other
+/// cores' skipped cycles. The CPUs step in `(cycle, cpu)` order —
+/// every cycle, or only at the cycles they ask for — and each `ResetStats`
+/// is serviced as the machine does it: every other CPU first settles the
+/// cycles it skipped that this order places before the reset. Returns the
+/// CPUs, memory, every CPU's counters as each reset found them, the memory
+/// system's statistics and the step count.
+fn run_lock_with_resets(
+    every_cycle: bool,
+) -> (Vec<MxsCpu>, PhysMem, Vec<Vec<CpuCounters>>, String, u64) {
+    let mut a = Asm::new(CODE);
+    a.la_abs(Reg::A0, DATA); // lock
+    a.la_abs(Reg::A1, DATA + 0x40); // counter
+    a.li(Reg::S0, 40);
+    a.label("loop");
+    a.andi(Reg::S1, Reg::S0, 3);
+    a.bnez(Reg::S1, "work");
+    a.hcall(HcallNo::ResetStats);
+    a.label("work");
+    a.li(Reg::T1, 3);
+    for _ in 0..4 {
+        a.div(Reg::T2, Reg::S0, Reg::T1);
+    }
+    a.label("acquire");
+    a.lw(Reg::T8, Reg::A0, 0);
+    a.bnez(Reg::T8, "acquire");
+    a.ll(Reg::T8, Reg::A0, 0);
+    a.bnez(Reg::T8, "acquire");
+    a.li(Reg::T9, 1);
+    a.sc(Reg::T9, Reg::A0, 0);
+    a.beqz(Reg::T9, "acquire");
+    a.sync();
+    a.lw(Reg::T0, Reg::A1, 0);
+    a.addi(Reg::T0, Reg::T0, 1);
+    a.sw(Reg::T0, Reg::A1, 0);
+    a.sync();
+    a.sw(Reg::ZERO, Reg::A0, 0);
+    a.addi(Reg::S0, Reg::S0, -1);
+    a.bnez(Reg::S0, "loop");
+    a.halt();
+    let prog = a.assemble().expect("assembles");
+    let mut phys = PhysMem::new(4);
+    phys.load_words(prog.base, &prog.words);
+    // Shared memory: the lock and counter lines bounce between the L1s,
+    // so every CPU spends long quiet stretches waiting on misses.
+    let mut mem = SharedMemSystem::new(&SystemConfig::paper_shared_mem(4));
+    let mut cpus: Vec<MxsCpu> = (0..4)
+        .map(|c| MxsCpu::new(c, prog.base, AddrSpace::identity()))
+        .collect();
+    let mut ready = [Cycle(0); 4];
+    let mut steps = 0u64;
+    let mut at_resets = Vec::new();
+    while let Some(c) = (0..4)
+        .filter(|&c| !cpus[c].halted())
+        .min_by_key(|&c| ready[c])
+    {
+        assert!(steps < 40_000_000, "the lock loop must finish");
+        steps += 1;
+        let now = ready[c];
+        let (next, ev) = cpus[c].step(now, &mut mem, &mut phys);
+        ready[c] = if every_cycle { now + 1 } else { next };
+        if ev == StepEvent::Hcall(HcallNo::ResetStats) {
+            for (i, cpu) in cpus.iter_mut().enumerate() {
+                if i < c {
+                    cpu.settle(now);
+                } else if i > c {
+                    cpu.settle(Cycle(now.0 - 1));
+                }
+            }
+            at_resets.push(cpus.iter().map(|c| c.counters().clone()).collect());
+            cpus.iter_mut().for_each(|c| c.counters_mut().reset());
+        }
+    }
+    let stats = format!("{:?} | {ready:?}", mem.stats());
+    (cpus, phys, at_resets, stats, steps)
+}
+
+#[test]
+fn idle_skipping_with_mid_run_resets_matches_stepping_every_cycle() {
+    let (stepped, stepped_mem, stepped_resets, stepped_stats, every) = run_lock_with_resets(true);
+    let (skipped, skipped_mem, skipped_resets, skipped_stats, fewer) = run_lock_with_resets(false);
+    assert_eq!(stepped_resets.len(), 40, "every CPU resets ten times");
+    for (k, (a, b)) in stepped_resets.iter().zip(&skipped_resets).enumerate() {
+        assert_eq!(a, b, "counters differ at reset {k}");
+    }
+    assert_eq!(
+        stepped_mem.read_u32(DATA + 0x40),
+        160,
+        "4 CPUs x 40 increments"
+    );
+    assert_eq!(
+        skipped_mem.read_u32(DATA + 0x40),
+        160,
+        "4 CPUs x 40 increments"
+    );
+    for (a, b) in stepped.iter().zip(&skipped) {
+        assert_eq!(a.counters(), b.counters(), "counters differ");
+        assert_eq!(a.arch(), b.arch(), "architectural state differs");
+    }
+    assert_eq!(
+        stepped_stats, skipped_stats,
+        "memory statistics or halt cycles differ"
+    );
+    assert!(
+        fewer < every,
+        "quiet cycles must be skipped ({fewer} vs {every} steps)"
+    );
 }
 
 #[test]

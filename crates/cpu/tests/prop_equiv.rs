@@ -3,13 +3,16 @@
 //! out-of-order MXS model must produce *identical architectural state* —
 //! every integer register, every FP register, and all touched memory.
 //! Any renaming, forwarding, squash or fence bug shows up here.
+//! The same generator also checks that MXS's idle-cycle skipping is exact:
+//! a core stepped every cycle and one stepped only at the cycles it asks
+//! for must end in identical states, counters included.
 //! Runs on `cmpsim_engine::prop`.
 
-use cmpsim_cpu::{CpuModel, MipsyCpu, MxsCpu};
+use cmpsim_cpu::{CpuCounters, CpuModel, MipsyCpu, MxsCpu};
 use cmpsim_engine::prop::{self, Config, Source};
 use cmpsim_engine::Cycle;
 use cmpsim_isa::{AluOp, Asm, FReg, FpOp, Reg};
-use cmpsim_mem::{AddrSpace, PhysMem, SharedMemSystem, SystemConfig};
+use cmpsim_mem::{AddrSpace, MemorySystem, PhysMem, SharedMemSystem, SystemConfig};
 
 const CODE: u32 = 0x1_0000;
 const DATA: u32 = 0x10_0000;
@@ -182,7 +185,19 @@ trait Ignore {
 }
 impl Ignore for Asm {}
 
-fn run<C: CpuModel>(mut cpu: C, prog: &cmpsim_isa::Program) -> (C, PhysMem) {
+fn run<C: CpuModel>(cpu: C, prog: &cmpsim_isa::Program) -> (C, PhysMem) {
+    let (cpu, phys, _) = run_with(cpu, prog, false);
+    (cpu, phys)
+}
+
+/// Runs `prog` to `HALT`, stepping at the cycle each step returns or, with
+/// `every_cycle`, at every cycle regardless. Also returns the memory
+/// system's statistics and the halt cycle, rendered for comparison.
+fn run_with<C: CpuModel>(
+    mut cpu: C,
+    prog: &cmpsim_isa::Program,
+    every_cycle: bool,
+) -> (C, PhysMem, String) {
     let mut phys = PhysMem::new(1);
     phys.load_words(prog.base, &prog.words);
     // Seed data memory deterministically.
@@ -193,10 +208,12 @@ fn run<C: CpuModel>(mut cpu: C, prog: &cmpsim_isa::Program) -> (C, PhysMem) {
     let mut now = Cycle(0);
     for _ in 0..10_000_000u64 {
         if cpu.halted() {
-            return (cpu, phys);
+            let timing = format!("halt {} | {:?}", now.0, mem.stats());
+            return (cpu, phys, timing);
         }
         let (next, _) = cpu.step(now, &mut mem, &mut phys);
-        now = next;
+        assert!(next > now, "a step must move time forward");
+        now = if every_cycle { now + 1 } else { next };
     }
     panic!("generated program did not halt");
 }
@@ -229,6 +246,49 @@ fn assert_models_agree(ops: &[GenOp], iters: u8) {
             "memory word {i} differs"
         );
     }
+}
+
+/// Runs the program on MXS twice — stepped every cycle, and stepped only at
+/// the cycles it returns — and asserts identical counters, architectural
+/// state, memory and memory-system statistics.
+fn assert_idle_skip_is_exact(ops: &[GenOp], iters: u8) {
+    let prog = emit(ops, iters).assemble().expect("assembles");
+    let stepped = run_with(MxsCpu::new(0, CODE, AddrSpace::identity()), &prog, true);
+    let skipped = run_with(MxsCpu::new(0, CODE, AddrSpace::identity()), &prog, false);
+    let (a, b): (&CpuCounters, &CpuCounters) = (stepped.0.counters(), skipped.0.counters());
+    assert_eq!(a, b, "counters differ");
+    let (a, b) = (stepped.0.arch(), skipped.0.arch());
+    assert_eq!(a.pc, b.pc, "pc differs");
+    for r in 0..32u8 {
+        assert_eq!(a.gpr(Reg::new(r)), b.gpr(Reg::new(r)), "gpr {r} differs");
+        let (fa, fb) = (a.fpr(FReg::new(r)), b.fpr(FReg::new(r)));
+        assert_eq!(fa.to_bits(), fb.to_bits(), "fpr {r} differs: {fa} vs {fb}");
+    }
+    for i in 0..DATA_WORDS {
+        assert_eq!(
+            stepped.1.read_u32(DATA + i * 4),
+            skipped.1.read_u32(DATA + i * 4),
+            "memory word {i} differs"
+        );
+    }
+    assert_eq!(
+        stepped.2, skipped.2,
+        "halt cycle or memory statistics differ"
+    );
+}
+
+#[test]
+fn mxs_idle_skipping_matches_stepping_every_cycle() {
+    let cfg = Config::from_env_or_cases(48);
+    prop::check_with(
+        &cfg,
+        "mxs_idle_skipping_matches_stepping_every_cycle",
+        |src| {
+            let ops = src.vec(1..40, any_op);
+            let iters = src.u8(1..12);
+            assert_idle_skip_is_exact(&ops, iters);
+        },
+    );
 }
 
 #[test]

@@ -65,6 +65,13 @@ pub enum ConfigError {
         /// Minimum required (`32 + rob_entries`).
         needed: usize,
     },
+    /// MXS physical register file too large for the core's register tags.
+    TooManyPhysRegs {
+        /// Requested physical register count.
+        phys_regs: usize,
+        /// Supported maximum.
+        max: usize,
+    },
     /// MXS fetch width outside the fetch buffer's capacity.
     FetchWidthOutOfRange {
         /// Requested fetch width.
@@ -123,6 +130,10 @@ impl fmt::Display for ConfigError {
                 f,
                 "need at least 32 + rob_entries physical registers \
                  (got {phys_regs}, need {needed})"
+            ),
+            ConfigError::TooManyPhysRegs { phys_regs, max } => write!(
+                f,
+                "at most {max} physical registers per file are supported (got {phys_regs})"
             ),
             ConfigError::FetchWidthOutOfRange { fetch_width, max } => write!(
                 f,

@@ -75,6 +75,18 @@ impl WriteBuffer {
         }
     }
 
+    /// First cycle at or after `now` with a free entry. Unlike
+    /// [`WriteBuffer::free_at`] this is a pure query: it neither retires
+    /// drained entries nor counts the wait as a stall.
+    pub fn next_free(&self, now: Cycle) -> Cycle {
+        let live = || self.finishes.iter().copied().filter(move |&f| f > now);
+        if live().count() < self.cap {
+            now
+        } else {
+            live().min().unwrap_or(now)
+        }
+    }
+
     /// Enqueues a store issued at `now` that completes at `finish`,
     /// retiring already-drained entries first.
     ///
@@ -146,6 +158,20 @@ mod tests {
         wb.push(Cycle(0), Cycle(8));
         assert_eq!(wb.free_at(Cycle(2)), Cycle(8));
         assert_eq!(wb.full_stall_cycles(), 6);
+    }
+
+    #[test]
+    fn next_free_matches_free_at_without_counting_a_stall() {
+        let mut wb = WriteBuffer::new(2);
+        assert_eq!(wb.next_free(Cycle(0)), Cycle(0));
+        wb.push(Cycle(0), Cycle(8));
+        wb.push(Cycle(0), Cycle(5));
+        for now in 0..10 {
+            let mut probe = wb.clone();
+            assert_eq!(wb.next_free(Cycle(now)), probe.free_at(Cycle(now)));
+        }
+        assert_eq!(wb.next_free(Cycle(2)), Cycle(5));
+        assert_eq!(wb.full_stall_cycles(), 0);
     }
 
     #[test]

@@ -4,9 +4,12 @@
 # 1. Hermeticity guard: `cargo metadata` must report only in-repo path
 #    dependencies. Any registry/git source means an external crate crept
 #    back into a manifest — fail before building anything.
-# 2. Tier-1 proper: release build + full workspace test suite, with
+# 2. Tier-1 proper: release build + the root package's test suite, with
 #    cargo's network access disabled so a regression in (1) can never be
-#    papered over by a warm registry cache.
+#    papered over by a warm registry cache. Then the whole workspace's
+#    tests (`cargo test --workspace`): the crates' own suites — the MXS
+#    equivalence and idle-skip properties, the codec, mem-contract,
+#    explore, shard and sentinel suites — which tier-1 alone never runs.
 # 3. Format gate: `cargo fmt --check` keeps the tree rustfmt-clean.
 # 4. Lint gate: `cargo clippy --workspace -- -D warnings` keeps the tree
 #    warning-free.
@@ -97,6 +100,9 @@ echo "ok: cargo metadata lists path-only dependencies"
 echo "== tier-1: cargo build --release && cargo test -q (offline) =="
 cargo build --release
 cargo test -q
+
+echo "== workspace tests: cargo test -q --workspace (offline) =="
+cargo test -q --workspace
 
 echo "== format gate: cargo fmt --check =="
 cargo fmt --check
