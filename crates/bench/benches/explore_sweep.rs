@@ -18,10 +18,7 @@ use cmpsim_explore::{run_search, DesignSpace, Driver, EvalMode, EvalSpec};
 
 /// Repeat counts: (warmup, runs, workload scale).
 fn knobs() -> (u32, u32, f64) {
-    let quick = std::env::var("CMPSIM_BENCH_QUICK")
-        .map(|v| !v.trim().is_empty() && v.trim() != "0")
-        .unwrap_or(false);
-    if quick {
+    if timing::quick() {
         (0, 3, 0.05)
     } else {
         (1, 5, 0.2)

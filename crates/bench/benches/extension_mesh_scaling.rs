@@ -26,10 +26,7 @@ const ARCHES: [ArchKind; 2] = [ArchKind::SharedL2, ArchKind::Mesh];
 const WORKLOADS: [&str; 3] = ["eqntott", "fft", "ocean"];
 
 fn scale() -> f64 {
-    let quick = std::env::var("CMPSIM_BENCH_QUICK")
-        .map(|v| !v.trim().is_empty() && v.trim() != "0")
-        .unwrap_or(false);
-    if quick {
+    if timing::quick() {
         0.05
     } else {
         0.2

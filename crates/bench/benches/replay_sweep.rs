@@ -28,10 +28,7 @@ use cmpsim_trace::codec::{VERSION, VERSION_V1};
 
 /// Repeat counts: (warmup, runs, workload scale).
 fn knobs() -> (u32, u32, f64) {
-    let quick = std::env::var("CMPSIM_BENCH_QUICK")
-        .map(|v| !v.trim().is_empty() && v.trim() != "0")
-        .unwrap_or(false);
-    if quick {
+    if timing::quick() {
         (1, 7, 0.1)
     } else {
         (1, 9, 0.3)

@@ -38,10 +38,7 @@ use cmpsim_mem::{
 
 /// Repeat counts: (warmup, runs, mem accesses, matrix scale).
 fn knobs() -> (u32, u32, u32, f64) {
-    let quick = std::env::var("CMPSIM_BENCH_QUICK")
-        .map(|v| !v.trim().is_empty() && v.trim() != "0")
-        .unwrap_or(false);
-    if quick {
+    if timing::quick() {
         (0, 1, 200_000, 0.02)
     } else {
         (1, 5, 1_000_000, 0.05)
@@ -219,10 +216,11 @@ fn memsys_throughput(label: &str, mut make: impl FnMut() -> Box<dyn MemorySystem
 /// per-reference signal, and the sweep loops are cheap enough to afford
 /// a best-of-7 even there.
 fn replay_sweep_throughput() {
-    let quick = std::env::var("CMPSIM_BENCH_QUICK")
-        .map(|v| !v.trim().is_empty() && v.trim() != "0")
-        .unwrap_or(false);
-    let (warmup, runs, scale) = if quick { (1, 7, 0.1) } else { (1, 9, 0.3) };
+    let (warmup, runs, scale) = if timing::quick() {
+        (1, 7, 0.1)
+    } else {
+        (1, 9, 0.3)
+    };
     let base = MachineConfig::new(ArchKind::SharedL2, CpuKind::Mipsy);
     let sweep: Vec<MachineConfig> = [4u64, 8, 16, 32]
         .iter()

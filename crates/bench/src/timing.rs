@@ -105,12 +105,24 @@ pub fn measure<T>(warmup: u32, runs: u32, mut f: impl FnMut() -> T) -> Measured 
     Measured::from_times_ns(warmup, times_ns)
 }
 
+/// Environment knob: set to anything but empty or `0` to run the
+/// throughput benches in quick mode (fewer repeats, smaller inputs).
+pub const ENV_BENCH_QUICK: &str = "CMPSIM_BENCH_QUICK";
+
+/// Whether [`ENV_BENCH_QUICK`] asks for quick mode. Quick records are
+/// smoke checks, not speed evidence; [`emit_record`] tags them
+/// `"quick":true`.
+pub fn quick() -> bool {
+    std::env::var(ENV_BENCH_QUICK).is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0")
+}
+
 /// One value in a JSON line.
 #[derive(Debug, Clone)]
 pub enum JsonVal {
     Str(String),
     U64(u64),
     F64(f64),
+    Bool(bool),
 }
 
 impl From<&str> for JsonVal {
@@ -128,6 +140,11 @@ impl From<f64> for JsonVal {
         JsonVal::F64(v)
     }
 }
+impl From<bool> for JsonVal {
+    fn from(v: bool) -> JsonVal {
+        JsonVal::Bool(v)
+    }
+}
 
 /// Formats one `{"k":v,...}` JSON object line from ordered pairs.
 /// Strings are escaped; floats print with enough digits to round-trip.
@@ -141,6 +158,9 @@ pub fn json_line(pairs: &[(&str, JsonVal)]) -> String {
         match val {
             JsonVal::Str(s) => out.push_str(&json_str(s)),
             JsonVal::U64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            JsonVal::Bool(v) => {
                 let _ = write!(out, "{v}");
             }
             JsonVal::F64(v) => {
@@ -186,8 +206,8 @@ pub fn host_cpus() -> u64 {
 
 /// Emits one benchmark record as a JSON line on stdout: the standard
 /// fields every BENCH record shares — including `host_cpus`, so perf
-/// trajectories recorded on different hosts stay interpretable — plus
-/// `extra` pairs.
+/// trajectories recorded on different hosts stay interpretable, and
+/// `"quick":true` on quick-mode smoke records — plus `extra` pairs.
 pub fn emit_record(bench: &str, case: &str, m: &Measured, extra: &[(&str, JsonVal)]) {
     let mut pairs: Vec<(&str, JsonVal)> = vec![
         ("bench", bench.into()),
@@ -199,6 +219,9 @@ pub fn emit_record(bench: &str, case: &str, m: &Measured, extra: &[(&str, JsonVa
         ("warmup", u64::from(m.warmup).into()),
         ("host_cpus", host_cpus().into()),
     ];
+    if quick() {
+        pairs.push(("quick", true.into()));
+    }
     pairs.extend_from_slice(extra);
     println!("{}", json_line(&pairs));
 }
@@ -239,8 +262,12 @@ mod tests {
             ("bench", "sim\"x\"".into()),
             ("count", 3u64.into()),
             ("rate", 1.5f64.into()),
+            ("quick", true.into()),
         ]);
-        assert_eq!(line, r#"{"bench":"sim\"x\"","count":3,"rate":1.5}"#);
+        assert_eq!(
+            line,
+            r#"{"bench":"sim\"x\"","count":3,"rate":1.5,"quick":true}"#
+        );
     }
 
     #[test]

@@ -79,9 +79,8 @@ pub struct DesignSpace {
 }
 
 /// One decoded, validated point of a design space: its embedding plus
-/// the fully resolved machine configuration (sentinel pinned off and
-/// shards pinned to 1, so a point means the same machine whatever the
-/// environment).
+/// the fully resolved machine configuration (sentinel pinned off, so a
+/// point means the same machine whatever the environment).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Point {
     /// The mixed-radix embedding this point decodes from.
@@ -392,8 +391,10 @@ impl DesignSpace {
         };
         let mut cfg = MachineConfig::new(arch, cpu);
         cfg.n_cpus = n;
-        // Pin the environment-resolved knobs: a point must mean the same
-        // machine in any process.
+        // Pin the environment-resolved sentinel: a point must mean the
+        // same machine in any process. `shards` has no effect, but the
+        // result-cache key hashes this config's `Debug` text, so it stays
+        // at the value existing caches were written with.
         cfg.sentinel = Some(SentinelSpec::off());
         cfg.shards = Some(1);
         let paper = arch.config(n);

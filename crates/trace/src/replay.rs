@@ -21,15 +21,10 @@ use std::io::Read;
 /// Unset ⇒ host parallelism.
 pub const ENV_REPLAY_JOBS: &str = "CMPSIM_REPLAY_JOBS";
 
-/// Resolves [`ENV_REPLAY_JOBS`]: the explicit setting, else the host's
-/// available parallelism, else 1.
+/// Resolves [`ENV_REPLAY_JOBS`] with the same rules as every other job
+/// knob ([`cmpsim_engine::pool::env_jobs`]).
 pub fn replay_jobs() -> usize {
-    match std::env::var(ENV_REPLAY_JOBS) {
-        Ok(v) => v.parse().ok().filter(|&n| n > 0).unwrap_or(1),
-        Err(_) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
+    cmpsim_engine::pool::env_jobs(ENV_REPLAY_JOBS)
 }
 
 /// What a replay pushed through the target system.
