@@ -1,7 +1,7 @@
 //! Machine assembly and the simulation run loop.
 
 use cmpsim_cpu::{ArchState, CpuCounters, CpuModel, MipsyCpu, MxsConfig, MxsCpu, StepEvent};
-use cmpsim_engine::{Cycle, ReadyHeap};
+use cmpsim_engine::{CalendarQueue, Cycle};
 use cmpsim_isa::HcallNo;
 use cmpsim_kernels::BuiltWorkload;
 use cmpsim_mem::{
@@ -663,11 +663,11 @@ impl Machine {
     /// [`RunError::Stalled`] if the forward-progress watchdog fires.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunSummary, RunError> {
         let mut watchdog = self.stall_limit.map(|l| Watchdog::new(l, self.cpus.len()));
-        let mut heap = ReadyHeap::new(self.cpus.len());
+        let mut queue = CalendarQueue::new(self.cpus.len());
         for c in (0..self.cpus.len()).filter(|&c| !self.done[c]) {
-            heap.set(c, self.ready[c]);
+            queue.set(c, self.ready[c]);
         }
-        while let Some((now, c)) = heap.peek() {
+        while let Some((now, c)) = queue.peek() {
             if now.0 > max_cycles {
                 let report = self.diagnose(now.0, watchdog.as_ref());
                 return Err(RunError::Timeout {
@@ -706,9 +706,9 @@ impl Machine {
                 }
             }
             if self.done[c] {
-                heap.remove(c);
+                queue.remove(c);
             } else {
-                heap.set(c, next);
+                queue.set(c, next);
             }
         }
         Ok(self.summary())

@@ -24,9 +24,9 @@
 //!
 //! [`PhysMem`]: cmpsim_mem::PhysMem
 
+use cmpsim_engine::FastMap;
 use cmpsim_isa::{decode, Instr};
 use cmpsim_mem::{Addr, PhysMem};
-use std::collections::HashMap;
 
 const PAGE_SHIFT: u32 = 12;
 const WORDS_PER_PAGE: usize = 1 << (PAGE_SHIFT - 2);
@@ -48,7 +48,7 @@ pub struct DecodeCache {
     last_page: Addr,
     last_slot: usize,
     pages: Vec<Page>,
-    index: HashMap<Addr, usize>,
+    index: FastMap<Addr, usize>,
 }
 
 impl Default for DecodeCache {
@@ -76,7 +76,7 @@ impl DecodeCache {
             last_page: 0,
             last_slot: usize::MAX,
             pages: Vec::new(),
-            index: HashMap::new(),
+            index: FastMap::default(),
         }
     }
 

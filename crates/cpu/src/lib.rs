@@ -126,6 +126,11 @@ pub trait CpuModel {
     /// Advances the CPU. Returns the next cycle this CPU is runnable and
     /// any event the machine must handle.
     ///
+    /// The returned cycle is strictly greater than `now`. The run loop's
+    /// [`CalendarQueue`](cmpsim_engine::CalendarQueue) relies on it: its
+    /// cursor only moves forward, and it panics on a key below the cycle
+    /// it last handed out.
+    ///
     /// The returned cycle may lie beyond `now + 1` when the model can prove
     /// that nothing happens before it: Mipsy stalls there on memory, and
     /// MXS skips cycles in which no pipeline stage can act. A model that

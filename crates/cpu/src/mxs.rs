@@ -410,9 +410,13 @@ impl MxsCpu {
             self.int_ready[r] = Cycle::ZERO;
             self.fp_ready[r] = Cycle::ZERO;
         }
+        // Refilled in place, in the same order, so no allocation per hcall.
         // `validate` bounds phys_regs by MAX_PHYS_REGS, so the casts are exact.
-        self.int_free = (32..self.cfg.phys_regs).map(|p| p as PReg).collect();
-        self.fp_free = (32..self.cfg.phys_regs).map(|p| p as PReg).collect();
+        let free = (32..self.cfg.phys_regs).map(|p| p as PReg);
+        self.int_free.clear();
+        self.int_free.extend(free.clone());
+        self.fp_free.clear();
+        self.fp_free.extend(free);
         self.rob.clear();
         self.wait.clear();
         self.issue_at = Cycle::MAX;

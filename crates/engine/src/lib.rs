@@ -6,9 +6,9 @@
 //! * [`Cycle`] — a strongly typed simulated-time stamp.
 //! * [`Port`] and [`BankedResource`] — occupancy-based contention models for
 //!   cache ports, buses and DRAM banks.
-//! * [`EventQueue`] — a deterministic time-ordered event queue.
-//! * [`ReadyHeap`] — an indexed min-heap over `(Cycle, index)` keys, the
-//!   earliest-ready order the machine run loop uses.
+//! * [`CalendarQueue`] — the machine run loop's scheduler: an indexed,
+//!   monotone calendar queue of `(Cycle, index)` keys that picks the
+//!   earliest-ready CPU (ties to the lowest index) in O(1) per step.
 //! * [`pool`] — scoped-thread fan-out: the index-ordered job pool that
 //!   runs independent simulations (matrix rows, explore points, replay
 //!   batches) side by side.
@@ -45,7 +45,6 @@ pub mod hash;
 pub mod journal;
 pub mod pool;
 pub mod prop;
-pub mod queue;
 pub mod ready;
 pub mod resource;
 pub mod rng;
@@ -55,8 +54,7 @@ pub mod supervise;
 pub use hash::{BuildFastHasher, FastHasher, FastMap, FastSet};
 pub use journal::{Journal, JournalKey};
 pub use pool::{map_jobs, run_indexed};
-pub use queue::EventQueue;
-pub use ready::ReadyHeap;
+pub use ready::CalendarQueue;
 pub use resource::{BankedResource, Port};
 pub use rng::Rng64;
 pub use stats::{Counter, Histogram};

@@ -14,8 +14,8 @@
 
 use crate::sentinel::{FaultInjector, FaultKind, SentinelSpec, SentinelViolation, ViolationKind};
 use crate::{Addr, CpuId};
+use cmpsim_engine::FastMap;
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
@@ -44,7 +44,7 @@ pub const KERNEL_BASE: Addr = 0xC000_0000;
 pub struct PhysMem {
     /// Page frames; `index` maps page numbers to slots here.
     pages: Vec<Box<[u8; PAGE_BYTES]>>,
-    index: HashMap<u32, u32>,
+    index: FastMap<u32, u32>,
     /// One-entry translation cache, packed `page << 32 | (slot + 1)`; a
     /// zero slot field means invalid. Simulated memory access is the
     /// hottest loop in the whole simulator and exhibits strong page
@@ -107,7 +107,7 @@ impl PhysMem {
     pub fn new(n_cpus: usize) -> PhysMem {
         PhysMem {
             pages: Vec::new(),
-            index: HashMap::new(),
+            index: FastMap::default(),
             last: Cell::new(0),
             links: vec![None; n_cpus],
             line_mask: !31,
